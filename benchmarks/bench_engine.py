@@ -19,7 +19,7 @@ machine replay each); the engine side is one ``EngineSession``, which by
 default takes the vectorized batch path — every core consumes the packed
 columnar encoding in sync-run batches, with the machine-backed cores
 replaying one prerecorded machine tape (``--engine-path scalar`` times the
-old shared-replay walk instead).  Interleaving the A/B rounds and taking
+per-core scalar walk instead).  Interleaving the A/B rounds and taking
 the *minimum* per side keeps the ratio robust to background load;
 ``--min-speedup`` exits non-zero when it falls short.
 """
@@ -176,7 +176,7 @@ def main() -> int:
         choices=("auto", "batch", "scalar"),
         default="auto",
         help="the engine side's walk (batch = vectorized kernels over the "
-        "columnar encoding; scalar = the per-event shared-replay walk)",
+        "columnar encoding; scalar = the per-event walk, one machine per core)",
     )
     parser.add_argument(
         "--min-speedup",

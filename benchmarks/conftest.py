@@ -4,8 +4,8 @@ Every benchmark regenerates one table or figure of the paper's evaluation.
 Detector verdicts are cached on disk (keyed by workload content + detector
 configuration), so a warm cache makes re-runs fast.  Benchmark runs write
 their cache entries under a session-scoped temporary directory by default —
-the checked-in ``results/cache`` must not grow as a side effect of running
-the suite (``repro cache gc`` manages its size).  Point
+the local, git-ignored ``results/cache`` must not grow as a side effect of
+running the suite (``repro cache gc`` manages its size).  Point
 ``REPRO_BENCH_CACHE_DIR`` at a persistent directory (e.g.
 ``results/cache``) to keep a warm cache across runs.  Each benchmark
 writes its exhibit to ``results/`` and prints it.

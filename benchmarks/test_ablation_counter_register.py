@@ -11,6 +11,7 @@ from repro.common.config import BloomConfig, HardConfig
 from repro.common.events import Site, Trace, lock, read, unlock, write
 from repro.core.bloom import BloomMapper
 from repro.core.detector import HardDetector
+from repro.reporting import run_core
 
 S = [Site("abl.c", i, f"s{i}") for i in range(10)]
 VAR = 0x20000
@@ -43,7 +44,8 @@ def nested_collision_trace() -> Trace:
 
 def run_with(use_counter_register: bool):
     config = HardConfig(use_counter_register=use_counter_register)
-    return HardDetector(config=config).run(nested_collision_trace())
+    detector = HardDetector(config=config)
+    return run_core(detector.core(), nested_collision_trace())
 
 
 def test_counter_register_prevents_phantom_alarms(save_exhibit, checked):

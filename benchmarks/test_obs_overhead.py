@@ -4,8 +4,8 @@ The whole observability design hinges on one claim: threading a *disabled*
 :class:`~repro.obs.Observability` bundle through the pipeline is free, so
 instrumented builds can stay instrumented.  Hot paths gate on one
 precomputed boolean (``obs is not None and obs.active``), which this
-benchmark holds to a hard ratio: a ``HardDetector.run`` with the null
-bundle may take at most 1.05x the bare ``run(trace)`` wall-clock, best of
+benchmark holds to a hard ratio: a ``run_core`` pass of the HARD core with
+the null bundle may take at most 1.05x the bare pass's wall-clock, best of
 N to shed scheduler noise.
 
 The flight recorder makes the same claim for *enabled* telemetry: its

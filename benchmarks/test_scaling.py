@@ -8,7 +8,7 @@ control traffic crosses directory traffic as the core count grows.
 
 The narrative writeup lives in ``results/scaling.md``; detect-phase wall
 times are tracked separately by ``repro bench scaling``
-(``results/BENCH_scaling.json``).
+(``benchmarks/baselines/BENCH_scaling.json``).
 """
 
 import pytest

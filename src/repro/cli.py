@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         action="store_true",
         help="attach the engine flight recorder (sampled per-core step "
-        "time, lane dedup ratio, sync density)",
+        "time, sync density)",
     )
     run.add_argument(
         "--flame",

@@ -398,21 +398,6 @@ class ColumnarTrace:
 
     def to_bytes(self) -> bytes:
         """Serialise to the versioned binary format (see docs/trace_format.md)."""
-        payload_parts: list[bytes] = []
-        columns_meta: dict[str, list] = {}
-        offset = 0
-        for name, typecode in _COLUMNS:
-            column = getattr(self, name)
-            raw = (
-                column.tobytes() if isinstance(column, array) else bytes(column)
-            )
-            pad = (-offset) % 8
-            if pad:
-                payload_parts.append(b"\x00" * pad)
-                offset += pad
-            columns_meta[name] = [typecode, offset, len(raw)]
-            payload_parts.append(raw)
-            offset += len(raw)
         header = {
             "version": FORMAT_VERSION,
             "n": self.n,
@@ -420,14 +405,8 @@ class ColumnarTrace:
             "label": self.label,
             "sites": [[s.file, s.line, s.label] for s in self.sites],
             "bug_sites": list(self.bug_site_ids),
-            "columns": columns_meta,
         }
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        prefix = _MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
-        pad = (-(len(prefix) + len(header_bytes))) % 8
-        return b"".join(
-            [prefix, header_bytes, b"\x00" * pad, *payload_parts]
-        )
+        return pack_sections(_MAGIC, header, "columns", _COLUMNS, self)
 
     @classmethod
     def from_bytes(cls, buf) -> "ColumnarTrace":
@@ -437,24 +416,18 @@ class ColumnarTrace:
         zero-copy ``memoryview`` casts into it either way, so an mmap-backed
         trace pays no decode cost for the packed data.
         """
-        view = memoryview(buf)
-        if bytes(view[: len(_MAGIC)]) != _MAGIC:
-            raise ProgramError("not a columnar trace buffer (bad magic)")
-        version, header_len = struct.unpack_from("<II", view, len(_MAGIC))
-        if version != FORMAT_VERSION:
-            raise ProgramError(
-                f"unsupported columnar trace format version {version} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        header_start = len(_MAGIC) + 8
-        header = json.loads(
-            bytes(view[header_start : header_start + header_len])
+        header, columns = unpack_sections(
+            buf, _MAGIC, FORMAT_VERSION, "columns", _COLUMNS, "columnar trace"
         )
-        payload_start = header_start + header_len
-        payload_start += (-payload_start) % 8
-
+        n = header["n"]
+        for name, column in columns.items():
+            if len(column) != n:
+                raise ProgramError(
+                    f"column {name!r} holds {len(column)} items, "
+                    f"header says {n}"
+                )
         self = cls()
-        self.n = header["n"]
+        self.n = n
         self.num_threads = header["num_threads"]
         self.label = header["label"]
         self.sites = tuple(
@@ -463,15 +436,76 @@ class ColumnarTrace:
         )
         self.bug_site_ids = tuple(header["bug_sites"])
         self._buffer = buf
-        for name, typecode in _COLUMNS:
-            code, offset, nbytes = header["columns"][name]
-            if code != typecode:
-                raise ProgramError(
-                    f"column {name!r} typecode mismatch: {code!r} != {typecode!r}"
-                )
-            start = payload_start + offset
-            setattr(self, name, view[start : start + nbytes].cast(typecode))
+        for name, column in columns.items():
+            setattr(self, name, column)
         return self
+
+
+def pack_sections(magic: bytes, header: dict, key: str, layout, owner) -> bytes:
+    """Serialise ``owner``'s packed arrays behind ``magic`` + a JSON header.
+
+    ``layout`` lists the (attribute, typecode) of each array in payload
+    order; ``header`` (which carries ``"version"``) gains ``key``, mapping
+    each attribute to ``[typecode, offset, nbytes]``.  Arrays are 8-byte
+    aligned so :func:`unpack_sections` can cast them straight out of an
+    ``mmap`` without decoding.
+    """
+    payload_parts: list[bytes] = []
+    sections: dict[str, list] = {}
+    offset = 0
+    for name, typecode in layout:
+        column = getattr(owner, name)
+        raw = column.tobytes() if isinstance(column, array) else bytes(column)
+        pad = (-offset) % 8
+        if pad:
+            payload_parts.append(b"\x00" * pad)
+            offset += pad
+        sections[name] = [typecode, offset, len(raw)]
+        payload_parts.append(raw)
+        offset += len(raw)
+    header_bytes = json.dumps(
+        {**header, key: sections}, separators=(",", ":")
+    ).encode("utf-8")
+    prefix = magic + struct.pack("<II", header["version"], len(header_bytes))
+    pad = (-(len(prefix) + len(header_bytes))) % 8
+    return b"".join([prefix, header_bytes, b"\x00" * pad, *payload_parts])
+
+
+def unpack_sections(
+    buf, magic: bytes, version: int, key: str, layout, what: str
+) -> tuple[dict, dict]:
+    """Parse :func:`pack_sections` output into ``(header, arrays)``.
+
+    ``buf`` may be ``bytes`` or an ``mmap.mmap``; each array is a zero-copy
+    ``memoryview`` cast into it.  Raises :class:`ProgramError` on a bad
+    magic or version, a typecode mismatch, or an array that does not end
+    inside the buffer (a truncated file).
+    """
+    view = memoryview(buf)
+    if bytes(view[: len(magic)]) != magic:
+        raise ProgramError(f"not a {what} buffer (bad magic)")
+    found, header_len = struct.unpack_from("<II", view, len(magic))
+    if found != version:
+        raise ProgramError(
+            f"unsupported {what} format version {found} (expected {version})"
+        )
+    header_start = len(magic) + 8
+    header = json.loads(bytes(view[header_start : header_start + header_len]))
+    payload_start = header_start + header_len
+    payload_start += (-payload_start) % 8
+    arrays = {}
+    for name, typecode in layout:
+        code, offset, nbytes = header[key][name]
+        if code != typecode:
+            raise ProgramError(
+                f"{what} array {name!r} typecode mismatch: "
+                f"{code!r} != {typecode!r}"
+            )
+        start = payload_start + offset
+        if start + nbytes > len(view) or nbytes % struct.calcsize(typecode):
+            raise ProgramError(f"{what} array {name!r} is truncated")
+        arrays[name] = view[start : start + nbytes].cast(typecode)
+    return header, arrays
 
 
 def columns_of(trace_or_columns) -> ColumnarTrace:

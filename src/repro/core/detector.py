@@ -41,7 +41,7 @@ from repro.core.candidate import LineMeta
 from repro.core.lockregister import LockRegister
 from repro.core.lstate import NO_OWNER, transition
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 from repro.sim.coherence import SourceKind
 from repro.sim.machine import Machine
 from repro.sim.metadata import CacheMetadataStore
@@ -102,14 +102,6 @@ class HardDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return HardCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Replay ``trace`` through a fresh machine with HARD attached.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; when absent
-        or inactive the replay takes the uninstrumented fast path.
-        """
-        return run_deprecated(self, trace, obs=obs)
-
 
 class HardCore:
     """Mutable state of one detector pass over one trace."""
@@ -119,14 +111,10 @@ class HardCore:
         self.name = detector.name
         self.machine_config = detector.machine_config
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state (``machine`` may be a shared engine lane)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state and this pass's own machine."""
         detector = self.d
-        self.machine = (
-            machine
-            if machine is not None
-            else Machine(detector.machine_config, obs=obs)
-        )
+        self.machine = Machine(detector.machine_config, obs=obs)
         self.mapper = BloomMapper(detector.config.bloom)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)

@@ -28,7 +28,7 @@ from repro.core.lstate import NO_OWNER, LState, transition
 from repro.hb.vectorclock import SyncClocks
 from repro.lockset.exact import ALL_LOCKS
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 
 
 @dataclass
@@ -58,14 +58,6 @@ class HybridDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return HybridCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Consume the trace; report concurrent lockset violations only.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms are
-        recorded and emitted when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
-
 
 class HybridCore:
     """Mutable state of one hybrid lockset+HB pass (trace-only)."""
@@ -76,8 +68,8 @@ class HybridCore:
         self.d = detector
         self.name = detector.name
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state; ``machine`` is ignored (trace-only)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state (trace-only: no machine)."""
         self._obs = obs if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.stats = StatCounters()

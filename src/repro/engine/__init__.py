@@ -1,12 +1,12 @@
 """``repro.engine`` — the single-pass multi-detector engine.
 
-One trace walk feeds any number of incremental detector cores
-(:class:`~repro.reporting.DetectorCore`); machine-backed cores with equal
-machine configurations share a single cache/coherence replay.  See
+One session runs any number of incremental detector cores
+(:class:`~repro.reporting.DetectorCore`) over one trace; batch cores share
+one recorded data path per machine configuration
+(:class:`~repro.engine.tape.MachineTape`).  See
 ``docs/architecture.md`` for where this sits in the layer stack.
 """
 
-from repro.engine.machineshare import LaneBus, MachineGroup, MachineLane
 from repro.engine.session import EngineError, EngineSession, detect_with_engine
 from repro.engine.shard import DEFAULT_SHARD_THRESHOLD, run_sharded
 from repro.engine.tape import MachineTape
@@ -17,8 +17,5 @@ __all__ = [
     "EngineSession",
     "detect_with_engine",
     "run_sharded",
-    "LaneBus",
-    "MachineGroup",
-    "MachineLane",
     "MachineTape",
 ]

@@ -1,26 +1,20 @@
 """The single-pass engine: one trace walk feeding many detector cores.
 
 The paper evaluates every detector configuration over the *identical*
-execution (Section 5.1).  :class:`EngineSession` turns that methodology into
-the execution strategy: the interleaved trace is walked **once**, each event
-dispatched to every registered :class:`~repro.reporting.DetectorCore`, and
-machine-backed cores with equal :class:`~repro.common.config.MachineConfig`s
-share one cache/coherence replay via
-:class:`~repro.engine.machineshare.MachineGroup`.  Results are bit-for-bit
-identical to running each detector's legacy ``run(trace)`` alone — pinned by
+execution (Section 5.1).  :class:`EngineSession` runs any number of detector
+cores (:class:`~repro.reporting.DetectorCore`) over one interleaved trace.
+On the scalar walk every core replays its own simulated machine through
+:func:`~repro.reporting.run_core`.  The canonical data-path invariant
+documented on the core protocol keeps those replays identical for cores
+with equal machine configurations.  Results are bit-for-bit identical
+however the cores are combined — pinned by
 ``tests/engine/test_equivalence.py``.
 
-Machine sharing is disabled while an obs *emitter* is enabled: the simulator
-emits cache events (``l2.displacement``, ``cache.evict``…) through the
-machine, and sharing would conflate which detector's replay produced them.
-Metrics-only observability is share-safe — the machine's behaviour depends
-on ``obs`` only through the emitter.
-
 A :class:`~repro.obs.telemetry.FlightRecorder` on the bundle
-(``obs.telemetry``) is also share-safe: the engine switches to sampled walk
-variants that dispatch the *identical* event sequence and add only one
-countdown per stepped event, timing every ``sample_period``-th step to
-estimate per-core wall time, events/sec, and the lane dedup ratio.
+(``obs.telemetry``) switches each core to a sampled walk that dispatches
+the *identical* event sequence and adds only one countdown per stepped
+event, timing every ``sample_period``-th step to estimate per-core wall
+time and events/sec.
 
 When no observability is active, cores that advertise the batch protocol
 (``begin_batch``/``step_batch``/``finish_batch``) are driven through the
@@ -46,8 +40,8 @@ from __future__ import annotations
 import time
 
 from repro.common.errors import ReproError
-from repro.common.events import OpKind, Trace
-from repro.engine.machineshare import MachineGroup
+from repro.common.events import Trace
+from repro.reporting import run_core
 
 
 class EngineError(ReproError):
@@ -166,16 +160,12 @@ class EngineSession:
     # --------------------------------------------------------------------- run
 
     def run(self) -> list:
-        """Walk the trace once per replay context; results in add order.
+        """Run every registered core over the trace; results in add order.
 
-        Cores that share a machine must consume events in lockstep with the
-        shared replay, so each :class:`MachineGroup` is driven by one
-        interleaved walk.  Independent cores — trace-only detectors and
-        machine-backed cores with a unique machine configuration — have no
-        cross-core state, so they run in their own tight loops instead,
-        which avoids the per-event dispatch overhead entirely.  Either way
-        every core sees the exact event sequence ``Detector.run`` would
-        feed it, so results are bit-for-bit identical.
+        Batch-capable cores share one vectorized walk of the columnar trace
+        when observability allows it.  Every other core runs its own scalar
+        walk, so each sees the exact event sequence :func:`run_core` would
+        feed it and results are bit-for-bit identical either way.
         """
         if self._ran:
             raise EngineError("EngineSession is single-use; build a new one")
@@ -254,40 +244,14 @@ class EngineSession:
         if batch_cores:
             self._walk_batch(batch_cores)
 
-        groups: dict = {}
-        for core in scalar_cores:
-            machine_config = getattr(core, "machine_config", None)
-            if machine_config is None:
-                continue
-            group = groups.get(machine_config)
-            if group is None:
-                groups[machine_config] = group = MachineGroup(machine_config)
-            group.members.append(core)
-
-        solo: list = []
-        for core in scalar_cores:
-            machine_config = getattr(core, "machine_config", None)
-            group = groups.get(machine_config) if machine_config is not None else None
-            if group is not None and len(group.members) > 1:
-                core.begin(self.trace, obs=obs, machine=group.lane())
-            else:
-                solo.append(core)
-        for group in groups.values():
-            if len(group.members) > 1:
-                if recorder is not None:
-                    self._walk_group_sampled(group, recorder)
-                else:
-                    self._walk_group(group)
-        for core in solo:
-            core.begin(self.trace, obs=obs)
-            if recorder is not None:
-                self._walk_solo_sampled(core, recorder)
-            else:
-                step = core.step
-                for event in self.trace:
-                    step(event)
+        results = {
+            id(core): run_core(core, self.trace, obs=obs)
+            if recorder is None
+            else self._walk_solo_sampled(core, recorder)
+            for core in scalar_cores
+        }
         return [
-            core.finish_batch() if id(core) in batch_ids else core.finish()
+            core.finish_batch() if id(core) in batch_ids else results[id(core)]
             for core in self._cores
         ]
 
@@ -329,46 +293,12 @@ class EngineSession:
             for core in cores:
                 core.step_batch(cols, lo, hi)
 
-    def _walk_group_sampled(self, group: MachineGroup, recorder) -> None:
-        # The flight-recorder variant of _walk_group: identical event
-        # dispatch (so results stay bit-for-bit), plus one countdown per
-        # stepped event; every sample_period-th stepped event times each
-        # member's step individually.  The sampled means scale to per-core
-        # wall estimates, and the stepped count falls out of the countdown
-        # arithmetic — no extra per-event accounting.
-        feed = group.feed
-        steps = [core.step for core in group.members]
-        indices = range(len(steps))
-        COMPUTE = OpKind.COMPUTE
-        perf = time.perf_counter
-        period = recorder.sample_period
-        countdown = period
-        samples = 0
-        spent = [0.0] * len(steps)
-        t_walk = perf()
-        for event in self.trace:
-            feed(event)
-            if event.op.kind is not COMPUTE:
-                countdown -= 1
-                if countdown:
-                    for step in steps:
-                        step(event)
-                else:
-                    countdown = period
-                    samples += 1
-                    for index in indices:
-                        t0 = perf()
-                        steps[index](event)
-                        spent[index] += perf() - t0
-        wall = perf() - t_walk
-        stepped = samples * period + (period - countdown)
-        recorder.record_walk(wall)
-        for core, sampled_s in zip(group.members, spent):
-            recorder.record_core_walk(core.name, stepped, sampled_s, samples)
-        recorder.record_group(len(steps), group.accesses)
-
-    def _walk_solo_sampled(self, core, recorder) -> None:
-        # Sampled walk of one independent core (own machine or trace-only).
+    def _walk_solo_sampled(self, core, recorder):
+        # run_core with a flight recorder: the identical event dispatch,
+        # plus one countdown per event; every sample_period-th step is
+        # timed.  The sampled mean scales to a per-core wall estimate, and
+        # the stepped count falls out of the countdown arithmetic.
+        core.begin(self.trace, obs=self.obs)
         step = core.step
         perf = time.perf_counter
         period = recorder.sample_period
@@ -390,25 +320,12 @@ class EngineSession:
         stepped = samples * period + (period - countdown)
         recorder.record_walk(wall)
         recorder.record_core_walk(core.name, stepped, spent, samples)
-
-    def _walk_group(self, group: MachineGroup) -> None:
-        # COMPUTE events touch only the shared machine's cycle ledger (the
-        # group charges it once; lane charges of "compute" are no-ops), and
-        # BARRIER events touch no machine state at all — so the member
-        # dispatch can skip nothing: members still need BARRIER (resets) but
-        # not COMPUTE.
-        feed = group.feed
-        steps = [core.step for core in group.members]
-        COMPUTE = OpKind.COMPUTE
-        for event in self.trace:
-            feed(event)
-            if event.op.kind is not COMPUTE:
-                for step in steps:
-                    step(event)
+        return core.finish()
 
     def _walk_traced(self, recorder=None) -> None:
-        # Emitter active: every core replays its own machine (no sharing),
-        # and the walk emits one span per core with its cumulative step time.
+        # Emitter active: one interleaved walk over every core (each with its
+        # own machine), emitting one span per core with its cumulative step
+        # time.
         # Per-core timing is exact here, so a flight recorder (if any) gets
         # samples == stepped rather than a sampled estimate.
         emitter = self.obs.emitter

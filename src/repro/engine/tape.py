@@ -13,12 +13,13 @@ trace through a real :class:`~repro.sim.machine.Machine` with a recording
 listener attached, into flat packed arrays the vectorized batch kernels
 (``DetectorCore.step_batch``) consume without touching the simulator again.
 
-This is :class:`~repro.engine.machineshare.MachineGroup` taken to its
-logical end: the group deduplicates the replay *across cores within one
-walk*; the tape deduplicates it *across walks* — a second
+One tape serves every batch core with that machine configuration in a
+walk, and it is memoised across walks: a second
 :class:`~repro.engine.EngineSession` over the same trace (a benchmark
 round, a fuzz-oracle ablation, an experiment-runner memo hit) replays
-nothing at all.
+nothing at all.  This is the paper's identical-execution methodology
+(Section 5.1) made literal: every configuration is judged on one recorded
+data path.
 
 Tape layout (all dense, ``n`` = number of trace events):
 
@@ -39,14 +40,14 @@ Tape layout (all dense, ``n`` = number of trace events):
 
 from __future__ import annotations
 
-import json
-import struct
 from array import array
 
 from repro.common.coltrace import (
     KIND_BARRIER,
     KIND_COMPUTE,
     ColumnarTrace,
+    pack_sections,
+    unpack_sections,
 )
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
@@ -281,34 +282,13 @@ class MachineTape:
         8-byte-aligned packed arrays, so :meth:`from_bytes` can cast the
         arrays straight out of an ``mmap`` without decoding.
         """
-        payload_parts: list[bytes] = []
-        arrays_meta: dict[str, list] = {}
-        offset = 0
-        for name, typecode in _TAPE_ARRAYS:
-            column = getattr(self, name)
-            raw = (
-                column.tobytes() if isinstance(column, array) else bytes(column)
-            )
-            pad = (-offset) % 8
-            if pad:
-                payload_parts.append(b"\x00" * pad)
-                offset += pad
-            arrays_meta[name] = [typecode, offset, len(raw)]
-            payload_parts.append(raw)
-            offset += len(raw)
         header = {
             "version": TAPE_FORMAT_VERSION,
             "machine_cycles": self.machine_cycles,
             "machine_stats": dict(self.machine_stats),
             "bus_stats": dict(self.bus_stats),
-            "arrays": arrays_meta,
         }
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        prefix = _TAPE_MAGIC + struct.pack(
-            "<II", TAPE_FORMAT_VERSION, len(header_bytes)
-        )
-        pad = (-(len(prefix) + len(header_bytes))) % 8
-        return b"".join([prefix, header_bytes, b"\x00" * pad, *payload_parts])
+        return pack_sections(_TAPE_MAGIC, header, "arrays", _TAPE_ARRAYS, self)
 
     @classmethod
     def from_bytes(
@@ -319,37 +299,36 @@ class MachineTape:
         ``buf`` may be ``bytes`` or an ``mmap.mmap``; arrays become
         zero-copy ``memoryview`` casts into it either way.
         """
-        view = memoryview(buf)
-        if bytes(view[: len(_TAPE_MAGIC)]) != _TAPE_MAGIC:
-            raise ProgramError("not a machine tape buffer (bad magic)")
-        version, header_len = struct.unpack_from("<II", view, len(_TAPE_MAGIC))
-        if version != TAPE_FORMAT_VERSION:
-            raise ProgramError(
-                f"unsupported machine tape format version {version} "
-                f"(expected {TAPE_FORMAT_VERSION})"
-            )
-        header_start = len(_TAPE_MAGIC) + 8
-        header = json.loads(
-            bytes(view[header_start : header_start + header_len])
+        header, arrays = unpack_sections(
+            buf, _TAPE_MAGIC, TAPE_FORMAT_VERSION, "arrays", _TAPE_ARRAYS,
+            "machine tape",
         )
-        payload_start = header_start + header_len
-        payload_start += (-payload_start) % 8
-
+        events = len(arrays["pig"])
+        hooks = arrays["hook_off"]
+        sharers = arrays["sharer_off"]
+        if len(hooks) != events + 1 or len(sharers) != events + 1:
+            raise ProgramError(
+                f"machine tape offsets disagree with its {events} events"
+            )
+        for offsets, names in (
+            (hooks, ("hook_code", "hook_line", "hook_core", "hook_aux")),
+            (sharers, ("sharer_line", "sharer_flag")),
+        ):
+            for name in names:
+                if len(arrays[name]) != offsets[-1]:
+                    raise ProgramError(
+                        f"machine tape array {name!r} holds "
+                        f"{len(arrays[name])} records, its offsets end at "
+                        f"{offsets[-1]}"
+                    )
         self = cls.__new__(cls)
         self.machine_config = machine_config
         self._buffer = buf
         self.machine_cycles = header["machine_cycles"]
         self.machine_stats = header["machine_stats"]
         self.bus_stats = header["bus_stats"]
-        for name, typecode in _TAPE_ARRAYS:
-            code, offset, nbytes = header["arrays"][name]
-            if code != typecode:
-                raise ProgramError(
-                    f"tape array {name!r} typecode mismatch: "
-                    f"{code!r} != {typecode!r}"
-                )
-            start = payload_start + offset
-            setattr(self, name, view[start : start + nbytes].cast(typecode))
+        for name, column in arrays.items():
+            setattr(self, name, column)
         return self
 
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """Garbage collection for the on-disk result caches (``repro cache gc``).
 
 The harness keeps three content-addressed cache families under one
-directory (``results/cache`` by default):
+directory (``results/cache`` by default, which git ignores):
 
 * verdict JSON files (``<app>_<run>_<digest>.json``) at the top level;
 * interleaved traces (``traces/trace_*.cols``, plus legacy ``.pkl``);
@@ -9,8 +9,8 @@ directory (``results/cache`` by default):
 
 All are self-invalidating — keys fold in format versions and program
 digests, so stale entries simply stop being hit — which means nothing ever
-deletes them and a long-lived checkout accumulates dead weight without
-bound.  :func:`gc_cache` prunes by age and/or total size and reports what
+deletes them and a long-lived cache directory accumulates dead weight
+without bound.  :func:`gc_cache` prunes by age and/or total size and reports what
 it reclaimed; with no bounds given it just takes inventory.
 """
 

@@ -25,8 +25,8 @@ hashable, picklable dataclass captures a detector key plus every
 sensitivity-study knob, and :func:`make_detector` /
 :func:`config_signature` accept either the dataclass or the legacy
 ``key, **overrides`` form.  Every detector built here satisfies the
-:class:`~repro.reporting.Detector` protocol —
-``run(trace, obs) -> DetectionResult``.
+:class:`~repro.reporting.Detector` protocol: ``core()`` returns a fresh
+:class:`~repro.reporting.DetectorCore`.
 """
 
 from __future__ import annotations

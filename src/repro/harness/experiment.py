@@ -276,9 +276,8 @@ class ExperimentRunner:
 
         Every configuration not already memoised or disk-cached is evaluated
         in a single :class:`~repro.engine.EngineSession` pass over the trace:
-        the trace is walked once and compatible configurations share one
-        simulated machine replay (or, on the batch path, one prerecorded
-        machine tape over the columnar encoding — :attr:`engine_path`
+        on the batch path, compatible configurations share one prerecorded
+        machine tape over the columnar encoding (:attr:`engine_path`
         selects the walk), while each outcome stays bit-for-bit what a
         standalone :meth:`run_detector` call would have produced.
 

@@ -8,8 +8,8 @@ activity to the detect phase via a stats snapshot/delta, and assembles the
 machine-readable :class:`~repro.obs.runreport.RunReport`.
 
 The detect phase is one :class:`~repro.engine.EngineSession` pass: every
-requested detector's incremental core consumes the identical trace walk
-(and compatible configurations share one simulated machine replay), so
+requested detector's incremental core consumes the identical trace (and
+compatible configurations share one recorded machine tape), so
 ``detector_key="hard-default,hb-default"`` costs far less than two
 pipeline runs while producing the same per-detector results.
 """

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.common.addresses import line_address
 from repro.common.events import OpKind, Trace
+from repro.reporting import run_core
 
 
 @dataclass
@@ -117,8 +118,8 @@ class TraceStatsCore:
     def __init__(self, line_size: int = 32):
         self.line_size = line_size
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state; ``machine`` is ignored (trace-only)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state (trace-only: no machine)."""
         self.stats = TraceStats(threads=trace.num_threads)
         self._line_readers: dict[int, set[int]] = {}
         self._line_writers: dict[int, set[int]] = {}
@@ -248,9 +249,4 @@ def characterize(trace: Trace, line_size: int = 32) -> TraceStats:
     A thin shim over :class:`TraceStatsCore` — one incremental pass,
     exactly what an engine session feeding the core would compute.
     """
-    core = TraceStatsCore(line_size)
-    core.begin(trace)
-    step = core.step
-    for event in trace:
-        step(event)
-    return core.finish()
+    return run_core(TraceStatsCore(line_size), trace)

@@ -19,7 +19,7 @@ from repro.common.stats import StatCounters
 from repro.hb.meta import HBChunkMeta
 from repro.hb.vectorclock import SyncClocks
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 
 
 @dataclass
@@ -34,14 +34,6 @@ class IdealHappensBeforeDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return IdealHappensBeforeCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Consume the trace; report every access pair unordered in it.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms are
-        recorded and emitted when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
-
 
 class IdealHappensBeforeCore:
     """Mutable state of one ideal happens-before pass (trace-only)."""
@@ -52,8 +44,8 @@ class IdealHappensBeforeCore:
         self.d = detector
         self.name = detector.name
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state; ``machine`` is ignored (trace-only)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state (trace-only: no machine)."""
         self.obs = obs
         self._observe = obs is not None and obs.active
         self.log = RaceReportLog(self.d.name)

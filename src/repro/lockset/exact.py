@@ -27,7 +27,7 @@ from repro.common.events import OpKind, Trace
 from repro.common.stats import StatCounters
 from repro.core.lstate import NO_OWNER, LState, transition
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 
 #: Sentinel meaning "all possible locks" (the initial candidate set).
 ALL_LOCKS = None
@@ -74,14 +74,6 @@ class IdealLocksetDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return IdealLocksetCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Consume the trace; return every lockset-discipline violation.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms and
-        candidate-set sizes are recorded when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
-
 
 class IdealLocksetCore:
     """Mutable state of one exact-lockset pass (trace-only)."""
@@ -92,8 +84,8 @@ class IdealLocksetCore:
         self.d = detector
         self.name = detector.name
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state; ``machine`` is ignored (trace-only)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state (trace-only: no machine)."""
         self._obs = obs if obs is not None and obs.active else None
         self.log = RaceReportLog(self.d.name)
         self.run_stats = StatCounters()

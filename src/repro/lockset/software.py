@@ -33,7 +33,7 @@ from repro.core.detector import LOCK_WORD_BYTES
 from repro.core.lstate import NO_OWNER, LState, transition
 from repro.lockset.exact import ALL_LOCKS, ExactChunk
 from repro.obs.trace import emit_alarm
-from repro.reporting import DetectionResult, RaceReportLog, run_deprecated
+from repro.reporting import DetectionResult, RaceReportLog
 from repro.sim.machine import Machine
 
 
@@ -69,13 +69,6 @@ class SoftwareLocksetDetector:
         """A fresh incremental core for one pass (the engine entry point)."""
         return SoftwareLocksetCore(self)
 
-    def run(self, trace: Trace, obs=None) -> DetectionResult:
-        """Replay ``trace`` with software monitoring costs charged.
-
-        ``obs`` is an optional :class:`repro.obs.Observability`; alarms are
-        recorded and emitted when it is active.
-        """
-        return run_deprecated(self, trace, obs=obs)
 
     @staticmethod
     def slowdown(result: DetectionResult) -> float:
@@ -92,16 +85,12 @@ class SoftwareLocksetCore:
         self.name = detector.name
         self.machine_config = detector.machine_config
 
-    def begin(self, trace: Trace, obs=None, machine=None) -> None:
-        """Allocate the pass state (``machine`` may be a shared engine lane)."""
+    def begin(self, trace: Trace, obs=None) -> None:
+        """Allocate the pass state and this pass's own machine."""
         detector = self.d
         self.obs = obs
         self._observe = obs is not None and obs.active
-        self.machine = (
-            machine
-            if machine is not None
-            else Machine(detector.machine_config, obs=obs)
-        )
+        self.machine = Machine(detector.machine_config, obs=obs)
         self.stats = StatCounters()
         self.log = RaceReportLog(detector.name)
         self.extra_cycles = 0

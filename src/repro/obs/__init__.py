@@ -11,7 +11,7 @@ The observability layer threaded through the whole pipeline:
 * :class:`~repro.obs.runreport.RunReport` — the machine-readable artifact
   of one run;
 * :class:`~repro.obs.telemetry.FlightRecorder` — sampled engine telemetry
-  (per-core step time, lane dedup, sync density, flamegraph frames);
+  (per-core step time, sync density, flamegraph frames);
 * :mod:`repro.obs.perf` and :mod:`repro.obs.export` — the continuous
   performance observatory: the ``BENCH_<name>.json`` schema/writer/compare
   and the Prometheus-text + JSON metrics exporters;

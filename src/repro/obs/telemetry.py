@@ -11,9 +11,6 @@ Everything else is derived:
 * **per-core step time** — the sampled mean step latency scaled by the
   stepped-event count (exact when the engine is already tracing);
 * **events/sec per core** — stepped events over that estimated wall time;
-* **lane dedup hit ratio** — machine accesses the shared
-  :class:`~repro.engine.machineshare.MachineGroup` replay performed once
-  instead of once per member;
 * **sync-point density** — locks/unlocks/barriers per 1k trace events,
   from a strided census of the trace (stride
   :attr:`~FlightRecorder.census_stride`, so the census touches ~1.5% of
@@ -209,21 +206,6 @@ class FlightRecorder:
         self.registry.timer("telemetry.engine.walk").observe(wall_s)
         self.record_frame(("engine", "walk"), wall_s)
 
-    def record_group(self, members: int, shared_accesses: int) -> None:
-        """Record one shared-machine group's deduplication win.
-
-        ``shared_accesses`` machine accesses were performed once on the
-        shared replay; without sharing, each of the other ``members - 1``
-        lanes would have replayed them too.
-        """
-        if members < 1:
-            raise ValueError(f"a machine group has at least one member: {members}")
-        registry = self.registry
-        registry.add("telemetry.lane.groups")
-        registry.add("telemetry.lane.members", members)
-        registry.add("telemetry.lane.shared_accesses", shared_accesses)
-        registry.add("telemetry.lane.dedup_hits", shared_accesses * (members - 1))
-
     # ------------------------------------------------------------- merge
 
     def merge(self, other: "FlightRecorder") -> None:
@@ -246,16 +228,12 @@ class FlightRecorder:
         """The recorder's state as one JSON-serialisable dict.
 
         Raw counters plus the derived quantities the tentpole questions
-        need: per-core events/sec and estimated step time, the lane dedup
-        hit ratio, sync-point density per 1k events, and the frame table.
+        need: per-core events/sec and estimated step time, sync-point
+        density per 1k events, and the frame table.
         """
         counters = self.registry.snapshot()
         events = counters.get("telemetry.trace.events", 0)
         sync = counters.get("telemetry.trace.sync_points", 0)
-        members = counters.get("telemetry.lane.members", 0)
-        dedup_hits = counters.get("telemetry.lane.dedup_hits", 0)
-        shared = counters.get("telemetry.lane.shared_accesses", 0)
-        would_be = shared + dedup_hits
         cores = {}
         for name, entry in sorted(self.cores.items()):
             est_s = entry["est_s"]
@@ -279,14 +257,6 @@ class FlightRecorder:
                 "sync_density_per_1k": round(1000.0 * sync / events, 3)
                 if events
                 else 0.0,
-                "lane_dedup_hit_ratio": round(dedup_hits / would_be, 4)
-                if would_be
-                else 0.0,
-                "lane_mean_group_size": round(
-                    members / counters.get("telemetry.lane.groups", 1), 2
-                )
-                if members
-                else 0.0,
             },
             "frames": {
                 ";".join(path): round(seconds, 6)
@@ -306,8 +276,7 @@ class FlightRecorder:
         lines = ["flight recorder"]
         derived = snap["derived"]
         lines.append(
-            f"  sync density: {derived['sync_density_per_1k']}/1k events, "
-            f"lane dedup hit ratio: {derived['lane_dedup_hit_ratio']}"
+            f"  sync density: {derived['sync_density_per_1k']}/1k events"
         )
         for name, core in snap["cores"].items():
             lines.append(

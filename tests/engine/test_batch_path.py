@@ -19,6 +19,7 @@ from repro.fuzz import load_case
 from repro.fuzz.corpus import corpus_paths
 from repro.harness.detectors import DetectorConfig, make_detector
 from repro.obs import FlightRecorder, Observability, RecordingEmitter
+from repro.reporting import run_core
 from repro.threads.runtime import interleave
 from repro.threads.scheduler import RandomScheduler
 from repro.workloads.registry import build_workload
@@ -154,17 +155,38 @@ class TestCorpusExemplars:
             assert result_key(a) == result_key(b), (path.stem, key)
 
 
-class TestDeprecatedRunShim:
-    def test_run_warns_and_still_works(self, trace):
-        detector = make_detector("hard-default")
-        with pytest.warns(DeprecationWarning, match="detect_with_engine"):
-            legacy = detector.run(trace)
-        modern = detect(trace, "hard-default", engine_path="scalar")
-        assert result_key(legacy) == result_key(modern)
+#: Scalar walks the auto path must reproduce bit-for-bit: run_core per key
+#: (auto takes the batch kernels wherever a key has them), and a
+#: flight-recorded scalar session with three cores on one MachineConfig.
+SCALAR_WALKS = {
+    "hard-ideal": (("hard-ideal",), False),
+    "hb-default": (("hb-default",), False),
+    "hb-ideal": (("hb-ideal",), False),
+    "software": (("software",), False),
+    "hybrid": (("hybrid",), False),
+    "recorded-shared-machine": (
+        ("hard-default", "hb-default", "software"),
+        True,
+    ),
+}
 
-    @pytest.mark.parametrize(
-        "key", ("hard-ideal", "hb-default", "hb-ideal", "software", "hybrid")
-    )
-    def test_every_detector_run_warns(self, key, trace):
-        with pytest.warns(DeprecationWarning):
-            make_detector(key).run(trace)
+
+class TestScalarOracle:
+    def test_run_core_matches_scalar_session(self, trace):
+        oracle = run_core(make_detector("hard-default").core(), trace)
+        session = detect(trace, "hard-default", engine_path="scalar")
+        assert result_key(oracle) == result_key(session)
+
+    @pytest.mark.parametrize("walk", SCALAR_WALKS)
+    def test_scalar_walk_matches_auto(self, walk, trace):
+        keys, recorded = SCALAR_WALKS[walk]
+        if recorded:
+            obs = Observability(telemetry=FlightRecorder())
+            session = EngineSession(trace, obs=obs, path="scalar")
+            for key in keys:
+                session.add_config(DetectorConfig.coerce(key))
+            scalar = session.run()
+        else:
+            scalar = [run_core(make_detector(key).core(), trace) for key in keys]
+        auto = detect_many(trace, keys)
+        assert [result_key(r) for r in scalar] == [result_key(r) for r in auto]

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import detect, detect_many
+from repro.common.errors import ProgramError
 from repro.common.events import Site, Trace, barrier, compute, lock, read, unlock, write
 from repro.engine import EngineError, EngineSession, run_sharded
 from repro.engine.shard import build_partition, unit_shift_for
@@ -299,6 +300,36 @@ class TestTapeCache:
         second = run_sharded(cols, configs, jobs=1, shards=2, tape_cache=cache)
         assert cache.hits >= 1
         assert [result_key(r) for r in first] == [result_key(r) for r in second]
+        cache.close()
+
+    @pytest.mark.parametrize("cut", (3, 8, "half"))
+    def test_truncated_tape_is_a_miss_and_rebuilds(self, tmp_path, cut):
+        # A truncated entry must never load as a hit: from_bytes rejects
+        # it, the cache drops it, and the rebuilt tape gives the reference
+        # verdict.
+        program = build_workload("fuzz:3", seed=0)
+        trace = interleave(program, RandomScheduler(seed=0, max_burst=8)).trace
+        config = DetectorConfig.coerce("hard-default")
+        machine_config = make_detector(config).core().machine_config
+        cache = TapeCache(tmp_path)
+        cols = trace.columns()
+        MachineTape.for_columns(cols, machine_config, cache=cache)
+        path = cache.path_for(cols, machine_config)
+        raw = path.read_bytes()
+        short = raw[: len(raw) // 2] if cut == "half" else raw[:-cut]
+        with pytest.raises(ProgramError):
+            MachineTape.from_bytes(short)
+        path.write_bytes(short)
+        cols._tapes = {}
+        misses = cache.misses
+        assert cache.load(cols, machine_config) is None
+        assert cache.misses == misses + 1 and not path.exists()
+        session = EngineSession(cols, path="batch", tape_cache=cache)
+        session.add_config(config)
+        [rebuilt] = session.run()
+        assert path.read_bytes() == raw
+        reference = detect(trace, "hard-default", engine_path="scalar")
+        assert result_key(rebuilt) == result_key(reference)
         cache.close()
 
     def test_disabled_cache_is_inert(self, fresh_trace):

@@ -22,8 +22,8 @@ class TestRunBenchmark:
             assert len(result.phases[phase]["rounds_s"]) == 2
         # The counter snapshot comes from one untimed flight-recorded scalar
         # pass after the rounds (a recorder forces the scalar walk, which
-        # would skew timings): one walk per dispatch — hard-default's group
-        # plus the solo hb-ideal lane.
+        # would skew timings): one walk per core, each replaying its own
+        # machine (hard-default) or none (hb-ideal).
         assert result.counters["telemetry.engine.walks"] == 2
         assert result.extras["app"] == "fuzz:3"
         assert result.extras["detectors"] == ["hard-default", "hb-ideal"]

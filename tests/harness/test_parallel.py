@@ -11,6 +11,9 @@ import pickle
 
 import pytest
 
+from repro.api import detect
+from repro.common.coltrace import ColumnarTrace
+from repro.common.errors import ProgramError
 from repro.common.rng import derive_seed
 from repro.harness.detectors import DetectorConfig, config_signature
 from repro.harness.experiment import CLEAN_RUN, ExperimentRunner, schedule_seed_for
@@ -109,6 +112,30 @@ class TestTraceCache:
         # The corrupt file was dropped, so a fresh store works again.
         cache.store(trace, APP, CLEAN_RUN, "k")
         assert cache.load(APP, CLEAN_RUN, "k") is not None
+
+    @pytest.mark.parametrize("cut", (1, 3, 8, "half"))
+    def test_truncated_entry_is_a_miss_and_rebuilds(self, tmp_path, cut):
+        # Short tails land on item boundaries of the trailing one-byte
+        # column: each must be rejected against the header's event count,
+        # dropped, and rebuilt to the same verdict.
+        cache = TraceCache(tmp_path)
+        trace = ExperimentRunner(cache_dir=None).trace_for(APP, CLEAN_RUN)
+        cache.store(trace, APP, CLEAN_RUN, "k")
+        path = cache.path_for(APP, CLEAN_RUN, "k")
+        raw = path.read_bytes()
+        short = raw[: len(raw) // 2] if cut == "half" else raw[:-cut]
+        with pytest.raises(ProgramError):
+            ColumnarTrace.from_bytes(short)
+        path.write_bytes(short)
+        assert cache.load(APP, CLEAN_RUN, "k") is None
+        assert cache.misses == 1 and not path.exists()
+        cache.store(trace, APP, CLEAN_RUN, "k")
+        rebuilt = cache.load(APP, CLEAN_RUN, "k")
+        assert cache.hits == 1
+        assert detect(rebuilt, "hb-ideal").alarm_sites() == detect(
+            trace, "hb-ideal"
+        ).alarm_sites()
+        cache.close()
 
     def test_disabled_cache_is_inert(self):
         cache = TraceCache(None)

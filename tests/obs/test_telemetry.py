@@ -100,18 +100,6 @@ class TestWalkAggregates:
         assert core["est_wall_s"] == pytest.approx(0.1)
         assert core["events_per_s"] == pytest.approx(10_000, rel=0.01)
 
-    def test_record_group_dedup_ratio(self):
-        recorder = FlightRecorder()
-        # 3 members sharing 100 accesses: 200 avoided replays of 300 total.
-        recorder.record_group(3, 100)
-        derived = recorder.snapshot()["derived"]
-        assert derived["lane_dedup_hit_ratio"] == pytest.approx(2 / 3, abs=1e-3)
-        assert derived["lane_mean_group_size"] == 3.0
-
-    def test_record_group_rejects_empty(self):
-        with pytest.raises(ValueError):
-            FlightRecorder().record_group(0, 5)
-
     def test_snapshot_shape(self):
         recorder = FlightRecorder()
         recorder.record_walk(0.5)
@@ -129,7 +117,6 @@ class TestMerge:
         for worker in range(2):
             shard = FlightRecorder()
             shard.record_core_walk("hard", 500, 0.0005, 5)
-            shard.record_group(2, 50)
             shard.record_walk(0.25)
             shard.record_frame(("engine", "walk"), 0.25)
             shards.append(shard)
@@ -139,7 +126,6 @@ class TestMerge:
         snap = merged.snapshot()
         assert snap["cores"]["hard"]["stepped"] == 1000
         assert snap["cores"]["hard"]["walks"] == 2
-        assert snap["counters"]["telemetry.lane.dedup_hits"] == 100
         assert snap["counters"]["telemetry.engine.walks"] == 2
         # Frames merged without re-entering the stack accounting.
         assert merged.frames[("engine", "walk")] == pytest.approx(1.0)
@@ -177,19 +163,17 @@ class TestEngineIntegration:
                 (rep.seq, rep.thread_id, rep.addr) for rep in p.reports
             ] == [(rep.seq, rep.thread_id, rep.addr) for rep in r.reports]
 
-    def test_stepped_counts_cover_every_non_compute_event(self, trace):
+    def test_cores_on_one_machine_config_step_every_event(self, trace):
         recorder = FlightRecorder(sample_period=7)  # force mid-period end
         session = EngineSession(trace, obs=Observability(telemetry=recorder))
+        # hard-default and hb-default share one MachineConfig; each still
+        # replays its own machine, so each steps every event (COMPUTE too).
         session.add_config(DetectorConfig.coerce("hard-default"))
         session.add_config(DetectorConfig.coerce("hb-default"))
         session.run()
-        non_compute = sum(
-            1 for event in trace if event.op.kind.value != "compute"
-        )
+        assert recorder.registry.snapshot()["telemetry.engine.walks"] == 2
         for core in recorder.cores.values():
-            # Grouped cores skip COMPUTE events (charged once on the shared
-            # machine), so the countdown arithmetic must land exactly there.
-            assert core["stepped"] == non_compute
+            assert core["stepped"] == len(trace)
 
     def test_solo_walk_steps_every_event(self, trace):
         recorder = FlightRecorder(sample_period=7)
@@ -197,20 +181,6 @@ class TestEngineIntegration:
         session.add_config(DetectorConfig.coerce("hb-ideal"))  # trace-only
         session.run()
         assert recorder.cores["hb-ideal"]["stepped"] == len(trace)
-
-    def test_group_dedup_recorded_for_shared_machines(self, trace):
-        recorder = FlightRecorder()
-        session = EngineSession(trace, obs=Observability(telemetry=recorder))
-        # hard-default and software share one MachineConfig.
-        session.add_config(DetectorConfig.coerce("hard-default"))
-        session.add_config(DetectorConfig.coerce("software"))
-        session.run()
-        counters = recorder.registry.snapshot()
-        assert counters["telemetry.lane.groups"] == 1
-        assert counters["telemetry.lane.members"] == 2
-        assert counters["telemetry.lane.dedup_hits"] == counters[
-            "telemetry.lane.shared_accesses"
-        ]
 
     def test_traced_walk_feeds_recorder_exactly(self, trace):
         from repro.obs import RecordingEmitter
